@@ -2,7 +2,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test fast-test test-stats docs-check spec-roundtrip experiments report bench bench-faults bench-chaos bench-service serve-smoke
+.PHONY: test fast-test test-stats docs-check spec-roundtrip experiments report bench bench-faults bench-chaos bench-service bench-e2e serve-smoke
 
 test:            ## tier-1: the full pytest suite
 	$(PYTHON) -m pytest -x -q
@@ -36,6 +36,9 @@ bench-chaos:     ## the temporal chaos campaign vs a scalar epoch loop
 
 bench-service:   ## refresh BENCH_service.json (daemon under closed-loop traffic)
 	$(PYTHON) benchmarks/run_service_bench.py
+
+bench-e2e:       ## the end-to-end benchmark (BENCHMARK.json): every workload, traced and untraced
+	$(PYTHON) perfbench/run.py --workload all
 
 serve-smoke:     ## start the daemon, stream one campaign + a cached repeat, drain
 	$(PYTHON) benchmarks/serve_smoke.py

@@ -31,6 +31,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -326,15 +327,19 @@ class ArtifactStore:
     ) -> Path:
         """Persist one run result keyed by its spec's ``content_hash``.
 
-        The artifact is written to a process-unique temp file and
-        renamed (atomic — a concurrent reader sees the old file or the
-        new one, never a torn write), then the manifest's ``runs``
-        index is updated under the lockfile.  Safe for any number of
-        concurrent writers; identical specs overwrite in place.
+        The artifact is written to a temp file unique to this process
+        *and thread* (two executor threads may save the same hash at
+        once) and renamed (atomic — a concurrent reader sees the old
+        file or the new one, never a torn write), then the manifest's
+        ``runs`` index is updated under the lockfile.  Safe for any
+        number of concurrent writers; identical specs overwrite in
+        place.
         """
         path = self.run_result_path(spec_hash)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        tmp = path.with_name(
+            f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
+        )
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(dict(record), fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -865,6 +865,10 @@ class CompiledScenarioBatch:
     _neuron_clear: Optional[bool] = field(
         default=None, init=False, repr=False, compare=False
     )
+    # Cached answer to :attr:`first_layer_faults`.
+    _first_layer_faults: Optional[int] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def num_scenarios(self) -> int:
@@ -896,6 +900,23 @@ class CompiledScenarioBatch:
                 clear = not any(np.any(g < 1.0) for g in self.gate_p)
             self._neuron_clear = clear
         return self._neuron_clear
+
+    @property
+    def first_layer_faults(self) -> int:
+        """The most layer-1 neurons any one scenario of the batch faults.
+
+        Counts cells carrying any neuron channel; computed once per
+        batch (cached like :attr:`neuron_channels_clear`), so every
+        slice of the batch sees the same value whatever the slicing.
+        """
+        if self._first_layer_faults is None:
+            occupied = self.zero_masks[0] | self.set_masks[0] | self.add_masks[0]
+            for extra in (self.scale_masks, self.noise_masks):
+                if extra is not None:
+                    occupied |= extra[0]
+            counts = np.count_nonzero(occupied, axis=1)
+            self._first_layer_faults = int(counts.max()) if counts.size else 0
+        return self._first_layer_faults
 
     @property
     def has_synapse_faults(self) -> bool:

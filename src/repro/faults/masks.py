@@ -20,7 +20,9 @@ makes the whole pipeline live at the array level (see DESIGN.md):
 * **evaluation** — :class:`MaskCampaignEngine` streams mask batches
   through preallocated ``(chunk, B, N_l)`` buffers with a ``dtype``
   option (float32 fast path, float64 default) and per-campaign cached
-  weights, producing per-scenario output errors;
+  weights, producing per-scenario output errors; few deterministic
+  layer-1 faults propagate as a rank-``k`` update of the nominal
+  stage-2 sums instead of a dense GEMM;
 * **distribution** — the fork-once worker pool ships the network to
   each worker exactly once (pool initializer); jobs afterwards carry
   only chunk sizes + spawned ``SeedSequence`` children (Monte-Carlo)
@@ -851,6 +853,13 @@ def masks_from_flat_indices(
 # ---------------------------------------------------------------------------
 
 
+#: Rank-k crossover: a batch takes the rank-k stage only while its
+#: largest per-scenario layer-1 fault count ``k_max`` satisfies ``k_max *
+#: RANK_K_CROSSOVER <= N_1`` (measured; see DESIGN.md "Streaming
+#: evaluation").
+RANK_K_CROSSOVER = 8
+
+
 class MaskCampaignEngine:
     """Streams mask batches through preallocated activation buffers.
 
@@ -859,7 +868,10 @@ class MaskCampaignEngine:
     :meth:`evaluate` processes any number of scenarios in slices of at
     most ``chunk_size``, reusing one ``(chunk, B, N_l)`` buffer per
     layer.  Peak memory is therefore bounded by the chunk, not the
-    campaign.
+    campaign.  Batches with few deterministic layer-1 faults skip the
+    layer-1 broadcast and the dense stage-2 GEMM: stage 2's received
+    sums become the cached nominal sums plus a rank-``k`` update (see
+    :meth:`_rank_k_delta`, DESIGN.md "Streaming evaluation").
 
     ``dtype=float64`` (default) matches the scalar injector bit-for-bit
     up to float associativity; ``dtype=float32`` halves memory traffic
@@ -918,14 +930,28 @@ class MaskCampaignEngine:
         )
         self._out_bias = np.asarray(self.network.output_bias, dtype=self.dtype)
 
-        # First-layer activations are scenario-independent: compute once.
-        self._base_first = self._layer_forward(0, self.xb)
-        # Nominal outputs through the same cached path (so float32
-        # campaigns compare faulty vs nominal in the same precision).
-        y = self._base_first
-        for l0 in range(1, self.network.depth):
-            y = self._layer_forward(l0, y)
-        self._nominal = y @ self._out_weights_t + self._out_bias  # (B, n_out)
+        # First-layer activations and stage 2's received sums are
+        # scenario-independent: compute once.  Nominal outputs run
+        # through the same cached path (so float32 campaigns compare
+        # faulty vs nominal in the same precision).
+        y = self._base_first = self._squash(0, self._received(0, self.xb))
+        # (N_1, B) twin: the rank-k stage gathers per-neuron rows.
+        self._base_first_t = np.ascontiguousarray(y.T)
+        depth = self.network.depth
+        for stage in range(1, depth + 1):
+            s = self._received(stage, y)
+            if stage == 1:
+                # Stage 2's nominal input (the outputs when depth == 1).
+                self._base_received2 = s if depth == 1 else s.copy()
+            if stage < depth:
+                y = self._squash(stage, s)
+        self._nominal = s  # (B, n_out)
+        # Quantized tiers round every emission; a last-bit difference
+        # in the rank-k sums could move a whole quantum, so only tiers
+        # without a post-activation hook take the rank-k stage.
+        self._rank_k_tier = (
+            type(self)._post_activation is MaskCampaignEngine._post_activation
+        )
 
         self._buffers: Optional[List[np.ndarray]] = None
         self._out_buffer: Optional[np.ndarray] = None
@@ -938,10 +964,28 @@ class MaskCampaignEngine:
 
     # -- internals ---------------------------------------------------------
 
-    def _layer_forward(self, l0: int, y: np.ndarray) -> np.ndarray:
-        s = y @ self._weights_t[l0]
-        if self._biases[l0] is not None:
-            s += self._biases[l0]
+    def _stage_weights_t(self, stage: int) -> np.ndarray:
+        """Cached ``(N_in, N_out)`` weights of synapse stage ``stage``
+        (0-based; ``depth`` is the output stage)."""
+        if stage == self.network.depth:
+            return self._out_weights_t
+        return self._weights_t[stage]
+
+    def _stage_bias(self, stage: int) -> Optional[np.ndarray]:
+        if stage == self.network.depth:
+            return self._out_bias
+        return self._biases[stage]
+
+    def _received(self, stage: int, y: np.ndarray) -> np.ndarray:
+        """Received sums ``y @ W + b`` of synapse stage ``stage``."""
+        s = y @ self._stage_weights_t(stage)
+        bias = self._stage_bias(stage)
+        if bias is not None:
+            s += bias
+        return s
+
+    def _squash(self, l0: int, s: np.ndarray) -> np.ndarray:
+        """Layer ``l0``'s activation plus the emission hook, in place."""
         out = self.network.layers[l0].activation.evaluate_into(s, s)
         self._post_activation(l0, out)
         return out
@@ -957,19 +1001,14 @@ class MaskCampaignEngine:
     def _stage_weights(self, stage: int) -> np.ndarray:
         """Dense ``(N_out, N_in)`` weights of synapse stage ``stage``
         (0-based; ``depth`` is the output stage), in the engine dtype."""
-        if stage == self.network.depth:
-            return self._out_weights_t.T
-        return self._weights_t[stage].T
+        return self._stage_weights_t(stage).T
 
     def _ensure_base_pre1(self) -> np.ndarray:
         """Cached layer-1 *pre-activation* sums ``(B, N_1)``; needed only
         by scenarios with stage-1 synapse faults, where the received
         sums must be corrected before squashing."""
         if self._base_pre1 is None:
-            s = self.xb @ self._weights_t[0]
-            if self._biases[0] is not None:
-                s += self._biases[0]
-            self._base_pre1 = s
+            s = self._base_pre1 = self._received(0, self.xb)
             # Contiguous (N_1, B) twin: the sparse stage-1 kernel
             # gathers per-neuron rows, which is fastest off this layout.
             self._base_pre1_t = np.ascontiguousarray(s.T)
@@ -1052,10 +1091,151 @@ class MaskCampaignEngine:
             tgt += contrib[plan.first]
         if plan.rest is not None:
             np.add.at(tgt, plan.rest_rows, contrib[plan.rest])
-        self.network.layers[0].activation.evaluate_into(tgt, tgt)
-        self._post_activation(0, tgt)
+        self._squash(0, tgt)
         Y[...] = self._base_first  # broadcast (B, N_1) over S scenarios
         Y.transpose(0, 2, 1)[plan.u_s, plan.u_j] = tgt
+
+    def _rank_k_delta(
+        self, batch: CompiledScenarioBatch, lo: int, hi: int
+    ) -> "tuple[np.ndarray, np.ndarray] | None":
+        """Layer-1 fault deltas of a slice for the rank-k stage, or None.
+
+        Eligible batches carry only deterministic neuron channels (no
+        synapse stages, noise or gates below 1 — so no draw is ever
+        skipped or reordered), run on a tier without an emission hook,
+        and fail at most ``k_max`` layer-1 neurons per scenario with
+        ``k_max * RANK_K_CROSSOVER <= N_1``.  ``k_max`` is the whole
+        batch's (:attr:`~CompiledScenarioBatch.first_layer_faults`), so
+        every slice of a batch takes the same path with the same padded
+        width, whatever the chunk size or tile.
+
+        Returns ``(F, D)``: ``F`` the ``(S, k)`` faulty neuron indices
+        per scenario (``k = max(k_max, 2)``; padded slots point at
+        neuron 0) and ``D`` the ``(S, B, k)`` faulty-minus-nominal
+        emissions of those cells, exactly 0 on padding.  The faulty
+        emissions come from :func:`apply_mask_channels` on the gathered
+        cells, so the fault semantics stay the shared ones.
+        """
+        if (
+            not self._rank_k_tier
+            or batch.has_synapse_faults
+            or batch.is_stochastic
+            or batch.first_layer_faults * RANK_K_CROSSOVER
+            > self.network.layer_sizes[0]
+        ):
+            return None
+        S = hi - lo
+        # At least two slots: numpy's stacked matmul is about twice as
+        # slow with an inner dimension of 1 than of 2.
+        k = max(batch.first_layer_faults, 2)
+
+        def cut(lst):
+            return None if lst is None else lst[0][lo:hi]
+
+        zero, set_mask, add_mask, scale_mask = (
+            cut(batch.zero_masks), cut(batch.set_masks),
+            cut(batch.add_masks), cut(batch.scale_masks),
+        )
+        occupied = zero | set_mask | add_mask
+        if scale_mask is not None:
+            occupied |= scale_mask
+        rows, cols = np.nonzero(occupied)
+        counts = np.bincount(rows, minlength=S)
+        slot = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+        F = np.zeros((S, k), dtype=np.intp)
+        F[rows, slot] = cols
+
+        def cells(m):
+            """A layer-1 channel gathered onto the (S, k) slots."""
+            if m is None:
+                return None
+            g = np.zeros((S, k), dtype=m.dtype)
+            if m.any():  # most channels are empty: skip the gather
+                g[rows, slot] = m[rows, cols]
+            return g
+
+        nominal = self._base_first_t[F]  # (S, k, B)
+        faulty = nominal.copy()
+        apply_mask_channels(
+            faulty.transpose(0, 2, 1),
+            cells(zero),
+            cells(set_mask),
+            cells(cut(batch.set_values)),
+            cells(add_mask),
+            cells(cut(batch.add_values)),
+            self.capacity,
+            scale_mask=cells(scale_mask),
+            scale_values=cells(cut(batch.scale_values)),
+        )
+        faulty -= nominal
+        return F, faulty.transpose(0, 2, 1)
+
+    def _stage_sums(
+        self,
+        stage: int,
+        S: int,
+        dst: np.ndarray,
+        delta: "tuple[np.ndarray, np.ndarray] | None",
+    ) -> None:
+        """Received sums of synapse stage ``stage`` into ``(S*B, N)`` ``dst``.
+
+        Dense: the previous layer's buffer times the stage weights.
+        Stage 1 of a rank-k slice instead adds each scenario's layer-1
+        deltas, ``D @ W[F, :]``, to the cached nominal sums — ``N_1 /
+        k_max`` times fewer multiply-adds than the dense GEMM.
+        """
+        if stage == 1 and delta is not None:
+            F, D = delta
+            dst3 = dst.reshape(S, self.batch_size, -1)
+            np.matmul(D, self._stage_weights_t(1)[F], out=dst3)
+            dst3 += self._base_received2
+            return
+        np.matmul(
+            self._buffers[stage - 1][:S].reshape(dst.shape[0], -1),
+            self._stage_weights_t(stage),
+            out=dst,
+        )
+        bias = self._stage_bias(stage)
+        if bias is not None:
+            dst += bias
+
+    def _dense_first_layer(
+        self,
+        batch: CompiledScenarioBatch,
+        lo: int,
+        hi: int,
+        st0: "SynapseStageChannels | None",
+        rng: "np.random.Generator | None",
+        tick,
+    ) -> None:
+        """Layer 1's faulty emissions for every scenario of the slice,
+        written into the first ``(S, B, N_1)`` buffer."""
+        S, B = hi - lo, self.batch_size
+        Y = self._buffers[0][:S]
+        if tick is not None:
+            tick("compile")
+        if st0 is not None:
+            # Stage-1 synapse faults corrupt the received sums of layer 1.
+            if _injector_mod.SYNAPSE_KERNEL == "segment":
+                self._corrected_first_layer(Y, st0, rng)
+            else:
+                # Reference path: broadcast the cached pre-activations,
+                # correct densely, squash everything.
+                Y[...] = self._ensure_base_pre1()
+                apply_synapse_corrections(
+                    Y, st0, self.xb, self._stage_weights(0), self.capacity,
+                    rng,
+                )
+                self._squash(0, Y.reshape(S * B, -1))
+            if tick is not None:
+                tick("corrections")
+        else:
+            Y[...] = self._base_first  # broadcast (B, N_1) over S scenarios
+            if tick is not None:
+                tick("gemm")
+        self._apply_masks(Y, batch, 0, lo, hi, rng)
+        if tick is not None:
+            tick("corrections")
 
     def _evaluate_slice(
         self,
@@ -1080,40 +1260,18 @@ class MaskCampaignEngine:
             st = stages[l0].sliced(lo, hi)
             return None if st.is_empty else st
 
-        Y = self._buffers[0][:S]
-        st0 = stage(0)
-        if tick is not None:
-            tick("compile")
-        if st0 is not None:
-            # Stage-1 synapse faults corrupt the received sums of layer 1.
-            if _injector_mod.SYNAPSE_KERNEL == "segment":
-                self._corrected_first_layer(Y, st0, rng)
-            else:
-                # Reference path: broadcast the cached pre-activations,
-                # correct densely, squash everything.
-                Y[...] = self._ensure_base_pre1()
-                apply_synapse_corrections(
-                    Y, st0, self.xb, self._stage_weights(0), self.capacity,
-                    rng,
-                )
-                Y2 = Y.reshape(S * B, -1)
-                net.layers[0].activation.evaluate_into(Y2, Y2)
-                self._post_activation(0, Y2)
-            if tick is not None:
-                tick("corrections")
-        else:
-            Y[...] = self._base_first  # broadcast (B, N_1) over S scenarios
-            if tick is not None:
-                tick("gemm")
-        self._apply_masks(Y, batch, 0, lo, hi, rng)
-        if tick is not None:
+        delta = self._rank_k_delta(batch, lo, hi)
+        if prof is not None:
+            prof.slices["dense" if delta is None else "rank_k"] += 1
+        if delta is None:
+            self._dense_first_layer(batch, lo, hi, stage(0), rng, tick)
+        elif tick is not None:
+            # Layer 1 differs from nominal only on the faulty cells; their
+            # deltas feed stage 2 below and layer 1's buffer stays idle.
             tick("corrections")
         for l0 in range(1, net.depth):
-            src = self._buffers[l0 - 1][:S].reshape(S * B, -1)
             dst = self._buffers[l0][:S].reshape(S * B, -1)
-            np.matmul(src, self._weights_t[l0], out=dst)
-            if self._biases[l0] is not None:
-                dst += self._biases[l0]
+            self._stage_sums(l0, S, dst, delta)
             if tick is not None:
                 tick("gemm")
             st = stage(l0)
@@ -1124,20 +1282,15 @@ class MaskCampaignEngine:
                 )
                 if tick is not None:
                     tick("corrections")
-            net.layers[l0].activation.evaluate_into(dst, dst)
-            self._post_activation(l0, dst)
+            self._squash(l0, dst)
             if tick is not None:
                 tick("gemm")
             self._apply_masks(self._buffers[l0][:S], batch, l0, lo, hi, rng)
             if tick is not None:
                 tick("corrections")
-        out2d = self._out_buffer[:S].reshape(S * B, -1)
-        np.matmul(
-            self._buffers[net.depth - 1][:S].reshape(S * B, -1),
-            self._out_weights_t,
-            out=out2d,
+        self._stage_sums(
+            net.depth, S, self._out_buffer[:S].reshape(S * B, -1), delta
         )
-        out2d += self._out_bias
         if tick is not None:
             tick("gemm")
         out = self._out_buffer[:S]

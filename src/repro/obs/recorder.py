@@ -31,7 +31,7 @@ from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional
 
-from ..profiling import PHASES, PhaseProfile
+from ..profiling import PHASES, SLICE_PATHS, PhaseProfile
 from .registry import MetricsRegistry
 from .trace import RunTrace
 
@@ -182,6 +182,13 @@ class RunObserver:
             self.metrics.counter(
                 "repro_scenarios", "Scenarios evaluated by the engines."
             ).inc(prof.scenarios)
+        for path, n in prof.slices.items():
+            if n:
+                self.metrics.counter(
+                    "repro_masks_slices",
+                    "Engine slices by stage-2 path (rank_k or dense).",
+                    path=path,
+                ).inc(n)
 
     def record(self, spec_payload: Optional[Mapping] = None) -> dict:
         """The persistable run record (spec + spans + metrics)."""
@@ -205,6 +212,10 @@ def profile_from_metrics(metrics: "MetricsRegistry | Mapping") -> PhaseProfile:
             profile.add(phase, seconds)
     scenarios = metrics.value("repro_scenarios")
     profile.scenarios = int(scenarios or 0)
+    for path in SLICE_PATHS:
+        profile.slices[path] = int(
+            metrics.value("repro_masks_slices", path=path) or 0
+        )
     return profile
 
 

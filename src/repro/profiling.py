@@ -21,14 +21,18 @@ exceeding wall time under real parallelism) instead of refusing.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Mapping, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
-__all__ = ["PHASES", "PhaseProfile"]
+__all__ = ["PHASES", "SLICE_PATHS", "PhaseProfile"]
 
 #: The fixed cost centres, in pipeline order.
 PHASES: Tuple[str, ...] = (
     "sampling", "compile", "gemm", "corrections", "reduction"
 )
+
+#: How the engine formed stage 2's input for a slice: the rank-k delta
+#: update or the dense layer-1 GEMM.
+SLICE_PATHS: Tuple[str, ...] = ("rank_k", "dense")
 
 
 class PhaseProfile:
@@ -36,14 +40,17 @@ class PhaseProfile:
 
     One instance spans a whole run — chunk loops call :meth:`add`
     repeatedly and the buckets sum.  ``scenarios`` counts evaluated
-    scenarios so :meth:`report` can show end-to-end throughput.
+    scenarios so :meth:`report` can show end-to-end throughput;
+    ``slices`` counts evaluated slices by engine path
+    (:data:`SLICE_PATHS`).
     """
 
-    __slots__ = ("seconds", "scenarios")
+    __slots__ = ("seconds", "scenarios", "slices")
 
     def __init__(self) -> None:
         self.seconds: Dict[str, float] = {p: 0.0 for p in PHASES}
         self.scenarios: int = 0
+        self.slices: Dict[str, int] = {p: 0 for p in SLICE_PATHS}
 
     def add(self, phase: str, dt: float) -> None:
         if phase not in self.seconds:
@@ -74,16 +81,19 @@ class PhaseProfile:
             if phase in payload:
                 self.add(phase, float(payload[phase]))
         self.scenarios += int(payload.get("scenarios", 0))
+        for path, n in payload.get("slices", {}).items():
+            self.slices[path] += int(n)
 
     @property
     def total(self) -> float:
         return sum(self.seconds.values())
 
-    def as_dict(self) -> Dict[str, float]:
+    def as_dict(self) -> Dict[str, Any]:
         """JSON-friendly payload: per-phase seconds plus totals."""
-        out = {p: self.seconds[p] for p in PHASES}
+        out: Dict[str, Any] = {p: self.seconds[p] for p in PHASES}
         out["total"] = self.total
         out["scenarios"] = self.scenarios
+        out["slices"] = dict(self.slices)
         return out
 
     def rows(self) -> List[Tuple[str, float, float]]:

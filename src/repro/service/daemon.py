@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import hashlib
 import os
 import threading
 import time
@@ -71,7 +72,12 @@ from .protocol import (
     result_payload,
 )
 
-__all__ = ["CampaignService", "ServiceThread", "DEFAULT_SOCKET"]
+__all__ = [
+    "CampaignService",
+    "ServiceThread",
+    "DEFAULT_SOCKET",
+    "engine_fingerprint",
+]
 
 #: Default unix-socket path when the spec names no endpoint.
 DEFAULT_SOCKET = "repro-service.sock"
@@ -81,6 +87,36 @@ RUNNABLE_SPECS = (CampaignSpec, SurvivalSpec, ChaosSpec)
 
 #: Schema version of the persisted run-result records.
 RUN_RECORD_VERSION = 1
+
+#: The modules whose source decides a served result's numbers, relative
+#: to the package root (a directory stands for every ``.py`` below it).
+ENGINE_SOURCES = (
+    "faults/masks.py",
+    "faults/injector.py",
+    "backends",
+    "network/activations.py",
+)
+
+
+def engine_fingerprint() -> str:
+    """sha256 over the sources of :data:`ENGINE_SOURCES`.
+
+    Stamped on every stored run record: a record computed by other
+    engine code (an older checkout sharing the results directory) is a
+    cache miss, not a hit — the daemon never serves numbers the running
+    code would not compute.
+    """
+    root = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for rel in ENGINE_SOURCES:
+        path = root / rel
+        for source in sorted(path.rglob("*.py")) if path.is_dir() else [path]:
+            digest.update(source.relative_to(root).as_posix().encode())
+            digest.update(b"\0")
+            digest.update(source.read_bytes())
+            digest.update(b"\0")
+    return digest.hexdigest()
+
 
 #: Listen backlog — sized for benchmark-scale connect bursts (>= 1000
 #: concurrent clients), not the kernel default of ~100.
@@ -199,6 +235,7 @@ class CampaignService:
             store = ArtifactStore(spec.results_dir)
         self.spec = spec
         self.store = store
+        self.engine = engine_fingerprint()
         self.metrics = MetricsRegistry()
         self._jobs: Dict[str, _Job] = {}
         self._cache: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
@@ -496,12 +533,11 @@ class CampaignService:
             return payload
         if self.store is None:
             return None
-        record = await self._loop.run_in_executor(
-            None, self.store.load_run_result, spec_hash
+        payload = await self._loop.run_in_executor(
+            None, self._stored_result, spec_hash
         )
-        if record is None or record.get("version") != RUN_RECORD_VERSION:
+        if payload is None:
             return None
-        payload = record["result"]
         self._cache_put(spec_hash, payload)
         self._count(
             "repro_service_cache_hits",
@@ -509,6 +545,37 @@ class CampaignService:
             tier="store",
         )
         return payload
+
+    def _stored_result(self, spec_hash: str) -> Optional[Dict[str, Any]]:
+        """The store tier's payload for ``spec_hash``, or None on a miss.
+
+        An unreadable or malformed record counts as
+        ``repro_service_store_errors`` and one from other engine code
+        as ``repro_service_cache_stale``; both are misses, so the job
+        recomputes and overwrites the record.
+        """
+        try:
+            record = self.store.load_run_result(spec_hash)
+            readable = record is None or (
+                isinstance(record, dict) and "result" in record
+            )
+        except (OSError, ValueError):  # unreadable, or not JSON
+            readable = False
+        if not readable:
+            self._count(
+                "repro_service_store_errors",
+                "Stored run records that could not be read.",
+            )
+            return None
+        if record is None or record.get("version") != RUN_RECORD_VERSION:
+            return None
+        if record.get("engine") != self.engine:
+            self._count(
+                "repro_service_cache_stale",
+                "Stored run records computed by other engine code.",
+            )
+            return None
+        return record["result"]
 
     def _cache_put(self, spec_hash: str, payload: Dict[str, Any]) -> None:
         if self.spec.cache_entries == 0:
@@ -586,6 +653,7 @@ class CampaignService:
                 job.spec_hash,
                 {
                     "version": RUN_RECORD_VERSION,
+                    "engine": self.engine,
                     "spec_hash": job.spec_hash,
                     "kind": job.spec.spec_tag,
                     "spec": job.spec.to_dict(),

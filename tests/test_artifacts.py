@@ -353,6 +353,47 @@ class TestConcurrentManifestWrites:
                     "kind": "campaign", "i": i,
                 }
 
+    def test_threads_saving_one_hash_leave_one_valid_record(self, tmp_path):
+        """Daemon executor threads can save the same spec hash at once
+        (a timed-out job still running while the spec is resubmitted):
+        each write needs its own temp file."""
+        import sys
+        import threading
+
+        store = ArtifactStore(tmp_path / "results")
+        n_threads, rounds = 8, 5
+        start = threading.Barrier(n_threads)
+        errors = []
+
+        def save(t):
+            try:
+                start.wait()
+                for r in range(rounds):
+                    store.save_run_result(
+                        "same", {"kind": "campaign", "writer": t, "round": r}
+                    )
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=save, args=(t,)) for t in range(n_threads)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        record = store.load_run_result("same")
+        assert record["kind"] == "campaign" and record["round"] == rounds - 1
+        runs_dir = store.run_result_path("same").parent
+        assert sorted(p.name for p in runs_dir.iterdir()) == ["same.json"]
+
     def test_lock_times_out_instead_of_hanging(self, tmp_path):
         from repro.artifacts import LOCK_NAME, _file_lock
 

@@ -269,6 +269,58 @@ class TestCacheAndCoalesce:
         assert repeat["cached"] is True
         assert repeat["result"] == fresh["result"]
 
+    def _stored_daemon(self, tmp_path, name):
+        return ServiceThread(
+            ServiceSpec(
+                socket=str(tmp_path / f"{name}.sock"),
+                results_dir=str(tmp_path / "results"),
+            )
+        )
+
+    def test_record_from_other_engine_code_is_recomputed(self, tmp_path):
+        # One layer-1 fault per scenario: the engine's rank-k stage runs.
+        spec = campaign(
+            n_scenarios=1024,
+            sampler=SamplerSpec(kind="fixed", distribution=(1, 1)),
+        )
+        with self._stored_daemon(tmp_path, "first") as first:
+            with client_for(first) as client:
+                client.submit(spec)
+            assert first.metrics.value("repro_service_engine_runs") == 1
+            path = first.store.run_result_path(spec.content_hash())
+        record = json.loads(path.read_text())
+        assert record["engine"] == first.engine
+        # A record stamped by other engine code, holding other numbers.
+        record["engine"] = "0" * 64
+        record["result"]["errors"] = [0.0] * 1024
+        path.write_text(json.dumps(record))
+        with self._stored_daemon(tmp_path, "second") as second:
+            with client_for(second) as client:
+                served = client.submit(spec)
+            assert served["cached"] is False
+            assert second.metrics.value("repro_service_cache_stale") == 1
+            assert second.metrics.value("repro_service_engine_runs") == 1
+        direct = np.asarray(run(spec).errors, dtype=np.float64)
+        assert np.array_equal(np.array(served["result"]["errors"]), direct)
+        # The recomputed record replaced the stale one.
+        assert json.loads(path.read_text())["engine"] == second.engine
+
+    def test_corrupt_store_record_is_a_miss(self, tmp_path):
+        spec = campaign(n_scenarios=1024)
+        with self._stored_daemon(tmp_path, "first") as first:
+            with client_for(first) as client:
+                fresh = client.submit(spec)
+            path = first.store.run_result_path(spec.content_hash())
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])  # truncated mid-write
+        with self._stored_daemon(tmp_path, "second") as second:
+            with client_for(second) as client:
+                served = client.submit(spec)
+            assert second.metrics.value("repro_service_store_errors") == 1
+            assert second.metrics.value("repro_service_engine_runs") == 1
+        assert served["type"] == "result" and served["cached"] is False
+        assert served["result"] == fresh["result"]
+
     def test_concurrent_identical_submits_coalesce_to_one_run(self, tmp_path):
         svc_spec = ServiceSpec(
             socket=str(tmp_path / "svc.sock"), max_inflight=1, queue_depth=8
