@@ -23,8 +23,9 @@ Every factory shares one signature::
 
 and returns an engine exposing the :class:`MaskCampaignEngine`
 evaluation contract (``evaluate`` / ``outputs`` / ``nominal`` plus the
-``network`` / ``injector`` / ``xb64`` / ``chunk_size`` / ``profile``
-attributes the campaign runners guard on) — so a backend engine drops
+``network`` / ``injector`` / ``xb64`` / ``chunk_size`` attributes the
+campaign runners guard on, and the ``profile`` charge point they set
+from ``obs.profile`` for an observed run) — so a backend engine drops
 straight into ``sampled_campaign_errors(engine=...)``.
 
 The adaptive layer (:mod:`repro.faults.adaptive`) rides the same

@@ -50,15 +50,16 @@ class ThreadedMaskEngine:
     the campaign runners guard on.  ``workers=0`` sizes the pool from
     ``os.cpu_count()``.
 
-    When :attr:`profile` is set the tiles run serially on one member
-    engine (phase timers are not thread-safe); the tile layout and
+    When :attr:`profile` is set each member engine charges a private
+    per-call profile (phase timers are not thread-safe), folded into
+    :attr:`profile` in engine order afterwards; the tile layout and
     draw streams are unchanged, so profiling never changes results.
-    When :attr:`obs` (a :class:`~repro.obs.RunObserver`) is *also*
-    set, the pool stays tile-parallel instead: each member engine
-    charges a private per-call profile folded into :attr:`profile`
-    afterwards, and every tile records its queue wait and per-worker
-    busy time into the observer's metrics (timing-valued, hence
-    scheduling-dependent — the numeric results stay deterministic).
+    :attr:`obs` (a :class:`~repro.obs.RunObserver`) additionally has
+    every tile record its queue wait and per-worker busy time into the
+    observer's metrics (timing-valued, hence scheduling-dependent — the
+    numeric results stay deterministic).  One-worker pools and
+    single-tile batches run on the lead engine, which charges
+    :attr:`profile` directly.
     """
 
     def __init__(
@@ -165,10 +166,7 @@ class ThreadedMaskEngine:
         S = batch.num_scenarios
         tiles = self._tiles(S)
         rngs = self._tile_rngs(batch, rng, len(tiles))
-        fold_profile = None
-        if (
-            self.profile is not None and self.obs is None
-        ) or self.workers == 1 or len(tiles) == 1:
+        if self.workers == 1 or len(tiles) == 1:
             lead = self._engines[0]
             prev = lead.profile
             lead.profile = self.profile
@@ -179,10 +177,10 @@ class ThreadedMaskEngine:
                 ]
             finally:
                 lead.profile = prev
-        if self.profile is not None:
-            # Observed run: stay tile-parallel; each member engine
-            # charges a private profile, folded below in engine order.
-            fold_profile = self.profile
+        fold_profile = self.profile
+        if fold_profile is not None:
+            # Each member engine charges a private profile, folded
+            # below in engine order.
             for eng in self._engines:
                 eng.profile = PhaseProfile()
         pool = self._ensure_pool()

@@ -396,7 +396,6 @@ def _run_chaos_campaign(
     keep_errors: bool = False,
     telemetry=None,
     spec_payload: Optional[dict] = None,
-    profile=None,
     obs=None,
 ) -> ChaosReport:
     """Simulate a deployed fleet under temporal chaos; return the SLO report.
@@ -423,8 +422,8 @@ def _run_chaos_campaign(
     is embedded in the trace so a stored trace can rebuild its
     detectors for replay.
 
-    ``profile`` accumulates per-phase engine wall time and ``obs``
-    records one ``block`` span per replica block, worker payloads
+    ``obs`` records one ``block`` span per replica block and charges
+    per-phase engine wall time to ``obs.profile``, worker payloads
     merged in block order exactly like the telemetry blocks — so the
     observed trace, like the report, is structurally identical serial
     vs parallel.
@@ -483,8 +482,6 @@ def _run_chaos_campaign(
     if traffic is not None and traffic.modulate_probes:
         probe_counts = traffic.probe_counts(requests, xb.shape[0])
     chunk = chunk_size or max(epochs_chunk * REPLICA_BLOCK, 1)
-    if obs is not None and profile is None:
-        profile = obs.profile
     ground_truth = bool(
         telemetry is not None
         and getattr(telemetry, "enabled", False)
@@ -499,7 +496,7 @@ def _run_chaos_campaign(
                 network, capacity, xb, chunk, np.dtype(dtype).name,
                 tuple(processes), tuple(detectors), policy,
                 epochs, epochs_chunk, float(epsilon), float(epsilon_prime),
-                probe_counts, ground_truth, profile is not None,
+                probe_counts, ground_truth, obs is not None,
             ),
         ) as pool:
             blocks = []
@@ -514,14 +511,14 @@ def _run_chaos_campaign(
                 ),
             ):
                 blocks.append(block_trace)
-                fold_worker_payload(payload, profile, obs)
+                fold_worker_payload(payload, obs)
     else:
         engine = MaskCampaignEngine(
             FaultInjector(network, capacity=capacity), xb,
             chunk_size=chunk, dtype=dtype,
         )
-        if profile is not None:
-            engine.profile = profile
+        if obs is not None:
+            engine.profile = obs.profile
         blocks = []
         for b, (size, child) in enumerate(zip(sizes, children[1:])):
             with block_span_if(obs, b, size):

@@ -214,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
                  "(the --spec input format; round-trips byte-identically)",
         )
 
-    def add_obs(p, with_profile=True):
+    def add_obs(p):
         """Observability flags every workload command carries."""
         p.add_argument(
             "--obs", metavar="RECORD", default=None,
@@ -222,13 +222,11 @@ def build_parser() -> argparse.ArgumentParser:
                  "and persist the record to RECORD.json (inspect it "
                  "with 'repro obs'); never changes results",
         )
-        if with_profile:
-            p.add_argument(
-                "--profile", action="store_true",
-                help="report per-phase wall time (sampling / compile / "
-                     "gemm / corrections / reduction), serial or "
-                     "parallel",
-            )
+        p.add_argument(
+            "--profile", action="store_true",
+            help="report per-phase wall time (sampling / compile / "
+                 "gemm / corrections / reduction), serial or parallel",
+        )
 
     def add_stopping(p):
         """Adaptive-sampling flags shared by campaign and survival —
@@ -372,17 +370,13 @@ def build_parser() -> argparse.ArgumentParser:
                             "threaded (thread-pool tiling), or a "
                             "reduced-precision probe tier "
                             "(quantized-int8 / float16)")
-    p_cam.add_argument("--profile", action="store_true",
-                       help="report per-phase wall time (sampling / "
-                            "compile / gemm / corrections / reduction), "
-                            "serial or parallel")
     p_cam.add_argument("--threshold", type=float, default=None,
                        help="also report the fraction of scenarios "
                             "exceeding this error (the violation level "
                             "for adaptive stopping)")
     add_stopping(p_cam)
     add_spec_io(p_cam)
-    add_obs(p_cam, with_profile=False)
+    add_obs(p_cam)
 
     p_chaos = sub.add_parser(
         "chaos",
@@ -1005,21 +999,26 @@ def _resolve_spec(args, build, spec_class):
 
 
 def _observer_from_args(args):
-    """A fresh :class:`~repro.obs.RunObserver` when ``--obs`` was
-    typed, else None."""
-    if getattr(args, "obs", None) is None:
+    """A fresh :class:`~repro.obs.RunObserver` when ``--obs`` or
+    ``--profile`` was typed, else None — the ``--profile`` table is a
+    view over the observer's phase profile."""
+    if args.obs is None and not args.profile:
         return None
     from .obs import RunObserver
 
     return RunObserver()
 
 
-def _save_obs(obs, spec, path) -> None:
-    """Persist the observer's run record next to the workload output."""
-    from .obs import save_run_record
+def _report_obs(obs, spec, args) -> None:
+    """Print the ``--profile`` table and persist the ``--obs`` record
+    next to the workload output."""
+    if args.profile:
+        print(obs.profile.report())
+    if args.obs is not None:
+        from .obs import save_run_record
 
-    out = save_run_record(obs.record(spec.to_dict()), path)
-    print(f"obs record -> {out} (inspect with 'repro obs {out}')")
+        out = save_run_record(obs.record(spec.to_dict()), args.obs)
+        print(f"obs record -> {out} (inspect with 'repro obs {out}')")
 
 
 def _describe_sampler(spec) -> str:
@@ -1039,18 +1038,8 @@ def _cmd_survival(args) -> int:
         if args.dump_spec:
             print(spec.to_json(), end="")
             return 0
-        profile = None
-        if args.profile:
-            from .profiling import PhaseProfile
-
-            profile = PhaseProfile()
         obs = _observer_from_args(args)
-        outcome = specs.run(
-            spec,
-            workers=args.workers or None,
-            profile=profile,
-            obs=obs,
-        )
+        outcome = specs.run(spec, workers=args.workers or None, obs=obs)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -1061,10 +1050,7 @@ def _cmd_survival(args) -> int:
         )
     else:
         print(f"monte-carlo survival: {outcome!r}")
-    if profile is not None:
-        print(profile.report())
-    if obs is not None:
-        _save_obs(obs, spec, args.obs)
+    _report_obs(obs, spec, args)
     return 0
 
 
@@ -1089,13 +1075,8 @@ def _cmd_campaign(args) -> int:
         else:
             print(f"monte-carlo campaign: {spec.n_scenarios} scenarios, "
                   f"{_describe_sampler(spec)}")
-        profile = None
-        if args.profile:
-            from .profiling import PhaseProfile
-
-            profile = PhaseProfile()
         obs = _observer_from_args(args)
-        result = specs.run(spec, profile=profile, obs=obs)
+        result = specs.run(spec, obs=obs)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -1124,10 +1105,7 @@ def _cmd_campaign(args) -> int:
             f"n={rep.n_scenarios}, certified-zero mass "
             f"{rep.certified_mass:.6g} over shells {list(rep.certified_shells)}"
         )
-    if profile is not None:
-        print(profile.report())
-    if obs is not None:
-        _save_obs(obs, spec, args.obs)
+    _report_obs(obs, spec, args)
     return 0
 
 
@@ -1195,13 +1173,8 @@ def _cmd_chaos(args) -> int:
             f"epochs, processes {[p.kind for p in spec.processes]}, "
             f"policy {spec.policy.kind}"
         )
-        profile = None
-        if args.profile:
-            from .profiling import PhaseProfile
-
-            profile = PhaseProfile()
         obs = _observer_from_args(args)
-        report = specs.run(spec, profile=profile, obs=obs)
+        report = specs.run(spec, obs=obs)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -1218,10 +1191,7 @@ def _cmd_chaos(args) -> int:
             f"telemetry trace -> {json_path} "
             f"(+ {json_path.with_suffix('.npz').name})"
         )
-    if profile is not None:
-        print(profile.report())
-    if obs is not None:
-        _save_obs(obs, spec, args.obs)
+    _report_obs(obs, spec, args)
     return 0
 
 

@@ -43,23 +43,21 @@ stopping + stratified/importance sampling over the tolerated lattice):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from contextlib import closing
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from ..obs.recorder import block_span_if, fold_worker_payload, span_if
-from ..parallel import bounded_map, fork_once_pool
+from ..obs.recorder import span_if
 from .injector import FaultInjector
 from .masks import (
     SAMPLE_BLOCK,
     MaskCampaignEngine,
     MaskSampler,
     TotalCountShellSampler,
-    _build_campaign_state,
-    _chunk_sizes,
-    _perf_counter,
-    _worker_sample_and_evaluate,
+    _check_engine_reuse,
+    _sampled_blocks,
     sampled_campaign_errors,
 )
 from .types import FaultModel
@@ -184,33 +182,32 @@ def adaptive_campaign_errors(
     dtype: "str | np.dtype" = np.float64,
     n_workers: int = 0,
     engine: "MaskCampaignEngine | None" = None,
-    profile=None,
     obs=None,
 ) -> Tuple[np.ndarray, AdaptiveReport]:
     """Stream scenario blocks until the violation-rate CI is tight.
 
     The block layout, seeds and evaluation are *exactly* those of
     :func:`~repro.faults.masks.sampled_campaign_errors` with the same
-    arguments — block ``c`` always draws from the ``c``-th spawned
-    seed child — so the returned errors are a bitwise prefix of the
-    fixed-``n_scenarios`` campaign.  The stop decision is taken only
-    at block boundaries, in spawn order: with workers, blocks are
-    submitted and consumed in spawn order and any block in flight past
-    the stop epoch is discarded, so serial == parallel and the result
-    is invariant to the worker count.
+    arguments — both consume one block loop, and block ``c`` always
+    draws from the ``c``-th spawned seed child — so the returned errors
+    are a bitwise prefix of the fixed-``n_scenarios`` campaign.  The
+    stop decision is taken only at block boundaries, in spawn order:
+    with workers, blocks are submitted and consumed in spawn order and
+    any block in flight past the stop epoch is discarded, so serial ==
+    parallel and the result is invariant to the worker count.
 
     ``threshold`` defines a violation as ``error > threshold + tol``
     (``tol=1e-12`` matches the survival path's budget comparison).
     ``min_scenarios`` floors the sample count before the first stop
     decision; ``n_scenarios`` stays the hard cap.
 
-    ``profile`` and ``obs`` mirror :func:`sampled_campaign_errors` —
-    worker-safe, folded in block submission order.  The observer
-    additionally records one ``adaptive-look`` event per stop decision
-    (look number, scenarios seen, violations, CI bounds once past
-    ``min_scenarios``) and publishes the final report's stop epoch and
-    CI as gauges; every look happens in the *parent* process in both
-    paths, so the event stream is identical serial vs parallel.
+    ``obs`` mirrors :func:`sampled_campaign_errors` — worker-safe,
+    folded in block submission order.  The observer additionally
+    records one ``adaptive-look`` event per stop decision (look number,
+    scenarios seen, violations, CI bounds once past ``min_scenarios``)
+    and publishes the final report's stop epoch and CI as gauges;
+    every look happens in the *parent* process in both paths, so the
+    event stream is identical serial vs parallel.
     """
     if method not in STOPPING_METHODS:
         raise ValueError(
@@ -227,34 +224,7 @@ def adaptive_campaign_errors(
     sampler.check_network(injector.network)
     if chunk_size <= 0:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    if obs is not None and profile is None:
-        profile = obs.profile
-    if engine is not None:
-        if engine.network is not injector.network:
-            raise ValueError(
-                "engine was built for a different network than the injector"
-            )
-        xb_arg, _ = injector.network._as_batch(x)
-        if not np.array_equal(
-            np.asarray(xb_arg, dtype=np.float64), engine.xb64
-        ):
-            raise ValueError(
-                "engine was built for a different probe batch than x"
-            )
-        if n_workers and n_workers > 1:
-            raise ValueError(
-                "engine reuse is in-process only; drop the engine argument "
-                "to fan out over workers"
-            )
-
-    ss = (
-        seed
-        if isinstance(seed, np.random.SeedSequence)
-        else np.random.SeedSequence(seed)
-    )
-    chunk_size = min(int(chunk_size), SAMPLE_BLOCK, int(n_scenarios))
-    sizes = _chunk_sizes(n_scenarios, SAMPLE_BLOCK)
-    children = ss.spawn(len(sizes))
+    _check_engine_reuse(engine, injector, x, n_workers)
     threshold = float(threshold)
 
     pieces: list = []
@@ -262,92 +232,33 @@ def adaptive_campaign_errors(
     violations = 0
     looks = 0
     stopped = False
-
-    def consume(block_errors: np.ndarray) -> bool:
-        """Fold one block into the confidence sequence; True = stop.
-
-        Runs in the parent process on both paths, so the look events it
-        records (counts and count-derived CI bounds only — no wall
-        times) are identical serial vs parallel.
-        """
-        nonlocal n_done, violations, looks, stopped
-        pieces.append(block_errors)
-        n_done += block_errors.size
-        violations += int(np.sum(block_errors > threshold + tol))
-        looks += 1
-        done = False
-        attrs = {"look": looks, "n": n_done, "violations": violations}
-        if n_done >= min_scenarios:
-            lo, hi = confidence_sequence_interval(
-                method, n_done, violations, looks, delta
-            )
-            attrs["ci_low"] = lo
-            attrs["ci_high"] = hi
-            if hi - lo <= target_ci:
-                stopped = True
-                done = True
-        if obs is not None:
-            obs.event("adaptive-look", stopped=done, **attrs)
-        return done
-
-    if n_workers and n_workers > 1:
-        xb, _ = injector.network._as_batch(x)
-        with fork_once_pool(
-            n_workers,
-            _build_campaign_state,
-            (
-                injector.network,
-                injector.capacity,
-                xb,
-                chunk_size,
-                reduction,
-                np.dtype(dtype).name,
-                sampler,
-                profile is not None,
-            ),
-        ) as pool:
-            # bounded_map yields in submission (= spawn) order; breaking
-            # out discards the in-flight overshoot (payloads included),
-            # so the consumed prefix — hence the stop epoch and the
-            # trace — matches the serial path.
-            for block_errors, payload in bounded_map(
-                pool,
-                _worker_sample_and_evaluate,
-                (
-                    (c, size, child)
-                    for c, (size, child) in enumerate(zip(sizes, children))
-                ),
-            ):
-                fold_worker_payload(payload, profile, obs)
-                if consume(np.asarray(block_errors)):
-                    break
-    else:
-        if engine is None:
-            engine = MaskCampaignEngine(
-                injector,
-                x,
-                chunk_size=chunk_size,
-                reduction=reduction,
-                dtype=dtype,
-            )
-        prev_profile = getattr(engine, "profile", None)
-        if profile is not None:
-            engine.profile = profile
-        try:
-            for c, (size, child) in enumerate(zip(sizes, children)):
-                rng = np.random.default_rng(child)
-                with block_span_if(obs, c, size):
-                    if profile is not None:
-                        t0 = _perf_counter()
-                        mask_batch = sampler.sample(size, rng)
-                        profile.add("sampling", _perf_counter() - t0)
-                    else:
-                        mask_batch = sampler.sample(size, rng)
-                    block_errors = engine.evaluate(mask_batch, rng=rng)
-                if consume(block_errors):
-                    break
-        finally:
-            engine.profile = prev_profile
+    blocks = _sampled_blocks(
+        injector, x, sampler, n_scenarios, seed=seed, chunk_size=chunk_size,
+        reduction=reduction, dtype=dtype, n_workers=n_workers,
+        engine=engine, obs=obs,
+    )
+    # Closing on a stop discards the blocks in flight past the stop
+    # epoch, so the consumed prefix — hence the stop epoch and the
+    # trace — matches the serial path.  Looks run in the parent on
+    # both paths and record counts and count-derived CI bounds only.
+    with closing(blocks):
+        for block_errors in blocks:
+            pieces.append(block_errors)
+            n_done += block_errors.size
+            violations += int(np.sum(block_errors > threshold + tol))
+            looks += 1
+            attrs = {"look": looks, "n": n_done, "violations": violations}
+            if n_done >= min_scenarios:
+                lo, hi = confidence_sequence_interval(
+                    method, n_done, violations, looks, delta
+                )
+                attrs["ci_low"] = lo
+                attrs["ci_high"] = hi
+                stopped = hi - lo <= target_ci
+            if obs is not None:
+                obs.event("adaptive-look", stopped=stopped, **attrs)
+            if stopped:
+                break
 
     errors = np.concatenate(pieces)
     lo, hi = confidence_sequence_interval(
@@ -492,7 +403,6 @@ def stratified_violation_estimate(
     dtype: "str | np.dtype" = np.float64,
     engine: "MaskCampaignEngine | None" = None,
     max_grid: int = 200_000,
-    profile=None,
     obs=None,
 ) -> StratifiedReport:
     """Estimate ``P[error > threshold]`` under i.i.d. ``p_fail`` failures
@@ -518,9 +428,9 @@ def stratified_violation_estimate(
     rare-event path).  Shells whose binomial weight underflows to zero
     are dropped with their (zero) mass recorded in ``skipped_mass``.
 
-    ``profile`` / ``obs`` thread through the per-shell campaigns; the
-    observer wraps each sampled shell in a ``shell`` span (attrs: the
-    fault count ``k`` and draw count) around its block spans.
+    ``obs`` threads through the per-shell campaigns and wraps each
+    sampled shell in a ``shell`` span (attrs: the fault count ``k`` and
+    draw count) around its block spans.
     """
     from scipy import stats as sps
 
@@ -540,8 +450,6 @@ def stratified_violation_estimate(
     sizes = network.layer_sizes
     total = int(sum(sizes))
     threshold = float(threshold)
-    if obs is not None and profile is None:
-        profile = obs.profile
 
     weights = sps.binom.pmf(np.arange(total + 1), total, p_fail)
     certified = np.zeros(total + 1, dtype=bool)
@@ -634,7 +542,6 @@ def stratified_violation_estimate(
                 reduction=reduction,
                 dtype=dtype,
                 engine=engine,
-                profile=profile,
                 obs=obs,
             )
 

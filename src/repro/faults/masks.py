@@ -1454,6 +1454,104 @@ def _chunk_sizes(total: int, chunk: int) -> List[int]:
 SAMPLE_BLOCK = 1024
 
 
+def _check_engine_reuse(engine, injector, x, n_workers) -> None:
+    """Refuse a reused ``engine`` built for another network or probe
+    batch, or paired with a worker fan-out; None passes."""
+    if engine is None:
+        return
+    if engine.network is not injector.network:
+        raise ValueError(
+            "engine was built for a different network than the injector"
+        )
+    xb_arg, _ = injector.network._as_batch(x)
+    # Compare probe batches in float64: casting to the engine dtype
+    # first would let two distinct float64 batches that collide at
+    # float32 slip past the guard on a float32 engine.
+    if not np.array_equal(np.asarray(xb_arg, dtype=np.float64), engine.xb64):
+        raise ValueError("engine was built for a different probe batch than x")
+    if n_workers and n_workers > 1:
+        raise ValueError(
+            "engine reuse is in-process only; drop the engine argument "
+            "to fan out over workers"
+        )
+
+
+def _sampled_blocks(
+    injector, x, sampler, n_scenarios, *, seed, chunk_size, reduction,
+    dtype, n_workers, engine, obs,
+) -> Iterator[np.ndarray]:
+    """Yield each :data:`SAMPLE_BLOCK`'s ``(size,)`` errors in spawn order.
+
+    The one block loop under :func:`sampled_campaign_errors` and
+    :func:`~repro.faults.adaptive.adaptive_campaign_errors`, serial or
+    fanned out over a fork-once pool.  A block is yielded after its
+    ``block`` span has closed (or its worker payload has folded), so a
+    consumer's events land beside the block spans, never inside them.
+    A consumer that stops early closes the generator: that shuts the
+    pool down and restores ``engine.profile`` before it returns.
+    """
+    ss = (
+        seed
+        if isinstance(seed, np.random.SeedSequence)
+        else np.random.SeedSequence(seed)
+    )
+    chunk_size = min(int(chunk_size), SAMPLE_BLOCK, int(n_scenarios))
+    sizes = _chunk_sizes(n_scenarios, SAMPLE_BLOCK)
+    children = ss.spawn(len(sizes))
+    jobs = [
+        (c, size, child)
+        for c, (size, child) in enumerate(zip(sizes, children))
+    ]
+
+    if n_workers and n_workers > 1:
+        xb, _ = injector.network._as_batch(x)
+        with fork_once_pool(
+            n_workers,
+            _build_campaign_state,
+            (
+                injector.network,
+                injector.capacity,
+                xb,
+                chunk_size,
+                reduction,
+                np.dtype(dtype).name,
+                sampler,
+                obs is not None,
+            ),
+        ) as pool:
+            for errors, payload in bounded_map(
+                pool, _worker_sample_and_evaluate, jobs
+            ):
+                fold_worker_payload(payload, obs)
+                yield errors
+        return
+
+    if engine is None:
+        engine = MaskCampaignEngine(
+            injector, x, chunk_size=chunk_size, reduction=reduction, dtype=dtype
+        )
+    profile = obs.profile if obs is not None else None
+    prev_profile = getattr(engine, "profile", None)
+    if profile is not None:
+        engine.profile = profile
+    try:
+        for c, size, child in jobs:
+            rng = np.random.default_rng(child)
+            # One generator per block: sampling consumes it first, then
+            # any stochastic evaluation draws — same as the worker path.
+            with block_span_if(obs, c, size):
+                if profile is not None:
+                    t0 = _perf_counter()
+                    mask_batch = sampler.sample(size, rng)
+                    profile.add("sampling", _perf_counter() - t0)
+                else:
+                    mask_batch = sampler.sample(size, rng)
+                errors = engine.evaluate(mask_batch, rng=rng)
+            yield errors
+    finally:
+        engine.profile = prev_profile
+
+
 def sampled_campaign_errors(
     injector: FaultInjector,
     x: np.ndarray,
@@ -1466,7 +1564,6 @@ def sampled_campaign_errors(
     dtype: "str | np.dtype" = np.float64,
     n_workers: int = 0,
     engine: "MaskCampaignEngine | None" = None,
-    profile=None,
     obs=None,
 ) -> np.ndarray:
     """Sample-and-evaluate ``n_scenarios`` scenarios; returns ``(S,)`` errors.
@@ -1494,106 +1591,27 @@ def sampled_campaign_errors(
     arguments; engine reuse is in-process only (``n_workers`` must stay
     0/1 — workers build their own engines from the shipped network).
 
-    ``profile`` (a :class:`~repro.profiling.PhaseProfile`) accumulates
-    per-phase wall time — sampling here, the evaluation phases inside
-    the engine.  With ``n_workers > 1`` each worker charges a private
-    per-block profile that the parent folds home in block submission
-    order.  ``obs`` (a :class:`~repro.obs.RunObserver`) additionally
-    records one ``block`` span per scenario block — workers buffer
-    theirs and the parent grafts them in the same order, so the trace
-    structure matches the serial run and the errors stay bitwise
-    identical with observation on or off.
+    ``obs`` (a :class:`~repro.obs.RunObserver`) records one ``block``
+    span per scenario block and charges per-phase wall time to
+    ``obs.profile`` — sampling here, the evaluation phases inside the
+    engine.  With ``n_workers > 1`` each worker records a private
+    per-block payload that the parent folds home in block submission
+    order, so the trace structure matches the serial run and the
+    errors stay bitwise identical with observation on or off.
     """
     if n_scenarios < 0:
         raise ValueError(f"n_scenarios must be >= 0, got {n_scenarios}")
     sampler.check_network(injector.network)
     if chunk_size <= 0:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    if obs is not None and profile is None:
-        profile = obs.profile
-    if engine is not None:
-        if engine.network is not injector.network:
-            raise ValueError(
-                "engine was built for a different network than the injector"
-            )
-        xb_arg, _ = injector.network._as_batch(x)
-        # Compare probe batches in float64: casting to the engine dtype
-        # first would let two distinct float64 batches that collide at
-        # float32 slip past the guard on a float32 engine.
-        if not np.array_equal(np.asarray(xb_arg, dtype=np.float64),
-                              engine.xb64):
-            raise ValueError(
-                "engine was built for a different probe batch than x"
-            )
-        if n_workers and n_workers > 1:
-            raise ValueError(
-                "engine reuse is in-process only; drop the engine argument "
-                "to fan out over workers"
-            )
+    _check_engine_reuse(engine, injector, x, n_workers)
     if n_scenarios == 0:
         return np.empty(0, dtype=np.float64)
-    ss = (
-        seed
-        if isinstance(seed, np.random.SeedSequence)
-        else np.random.SeedSequence(seed)
-    )
-    chunk_size = min(int(chunk_size), SAMPLE_BLOCK, int(n_scenarios))
-    sizes = _chunk_sizes(n_scenarios, SAMPLE_BLOCK)
-    children = ss.spawn(len(sizes))
-
-    if n_workers and n_workers > 1:
-        xb, _ = injector.network._as_batch(x)
-        with fork_once_pool(
-            n_workers,
-            _build_campaign_state,
-            (
-                injector.network,
-                injector.capacity,
-                xb,
-                chunk_size,
-                reduction,
-                np.dtype(dtype).name,
-                sampler,
-                profile is not None,
-            ),
-        ) as pool:
-            pieces = []
-            for errors, payload in bounded_map(
-                pool,
-                _worker_sample_and_evaluate,
-                (
-                    (c, size, child)
-                    for c, (size, child) in enumerate(zip(sizes, children))
-                ),
-            ):
-                pieces.append(errors)
-                fold_worker_payload(payload, profile, obs)
-        return np.concatenate(pieces)
-
-    if engine is None:
-        engine = MaskCampaignEngine(
-            injector, x, chunk_size=chunk_size, reduction=reduction, dtype=dtype
-        )
-    prev_profile = getattr(engine, "profile", None)
-    if profile is not None:
-        engine.profile = profile
-    try:
-        pieces = []
-        for c, (size, child) in enumerate(zip(sizes, children)):
-            rng = np.random.default_rng(child)
-            # One generator per block: sampling consumes it first, then
-            # any stochastic evaluation draws — same as the worker path.
-            with block_span_if(obs, c, size):
-                if profile is not None:
-                    t0 = _perf_counter()
-                    mask_batch = sampler.sample(size, rng)
-                    profile.add("sampling", _perf_counter() - t0)
-                else:
-                    mask_batch = sampler.sample(size, rng)
-                pieces.append(engine.evaluate(mask_batch, rng=rng))
-        return np.concatenate(pieces)
-    finally:
-        engine.profile = prev_profile
+    return np.concatenate(list(_sampled_blocks(
+        injector, x, sampler, n_scenarios, seed=seed, chunk_size=chunk_size,
+        reduction=reduction, dtype=dtype, n_workers=n_workers,
+        engine=engine, obs=obs,
+    )))
 
 
 def exhaustive_crash_errors(
@@ -1607,7 +1625,6 @@ def exhaustive_crash_errors(
     n_workers: int = 0,
     max_configurations: int = 2_000_000,
     engine: "MaskCampaignEngine | None" = None,
-    profile=None,
     obs=None,
 ) -> np.ndarray:
     """Errors for every configuration of exactly ``n_fail`` crashes.
@@ -1620,10 +1637,10 @@ def exhaustive_crash_errors(
     ``engine`` reuses a prebuilt evaluation engine (any backend built
     for this injector), in-process only — mirroring
     :func:`sampled_campaign_errors`; its chunk size then bounds the
-    mask blocks.  ``profile`` accumulates per-phase wall time (the
-    combination-table scatter counts as ``compile``) and ``obs``
-    records per-block spans — both work across workers, merged in
-    block submission order like :func:`sampled_campaign_errors`.
+    mask blocks.  ``obs`` records per-block spans and per-phase wall
+    time (the combination-table scatter counts as ``compile``) — both
+    work across workers, merged in block submission order like
+    :func:`sampled_campaign_errors`.
 
     Refuses beyond ``max_configurations`` — the table is materialised
     up front, so an unguarded call on a large network would try to
@@ -1633,26 +1650,9 @@ def exhaustive_crash_errors(
     not.
     """
     net = injector.network
+    _check_engine_reuse(engine, injector, x, n_workers)
     if engine is not None:
-        if engine.network is not net:
-            raise ValueError(
-                "engine was built for a different network than the injector"
-            )
-        xb_arg, _ = net._as_batch(x)
-        if not np.array_equal(
-            np.asarray(xb_arg, dtype=np.float64), engine.xb64
-        ):
-            raise ValueError(
-                "engine was built for a different probe batch than x"
-            )
-        if n_workers and n_workers > 1:
-            raise ValueError(
-                "engine reuse is in-process only; drop the engine argument "
-                "to fan out over workers"
-            )
         chunk_size = int(engine.chunk_size)
-    if obs is not None and profile is None:
-        profile = obs.profile
     total = math.comb(net.num_neurons, int(n_fail))
     cells = total * max(1, int(n_fail))
     if total > max_configurations or cells > 8 * max_configurations:
@@ -1682,7 +1682,7 @@ def exhaustive_crash_errors(
                 reduction,
                 np.dtype(dtype).name,
                 None,
-                profile is not None,
+                obs is not None,
             ),
         ) as pool:
             pieces = []
@@ -1690,13 +1690,14 @@ def exhaustive_crash_errors(
                 pool, _worker_evaluate_flat, enumerate(blocks)
             ):
                 pieces.append(errors)
-                fold_worker_payload(payload, profile, obs)
+                fold_worker_payload(payload, obs)
         return np.concatenate(pieces)
 
     if engine is None:
         engine = MaskCampaignEngine(
             injector, x, chunk_size=chunk_size, reduction=reduction, dtype=dtype
         )
+    profile = obs.profile if obs is not None else None
     prev_profile = getattr(engine, "profile", None)
     if profile is not None:
         engine.profile = profile

@@ -7,9 +7,9 @@ chaos orchestrator and the artifact store.  It owns:
 
 * a :class:`~repro.obs.trace.RunTrace` (the span plane),
 * a :class:`~repro.obs.registry.MetricsRegistry` (the metrics plane),
-* an embedded :class:`~repro.profiling.PhaseProfile` — the *same*
-  object the engines' existing ``engine.profile`` seam charges, so
-  per-phase wall time needs no second instrumentation path.
+* an embedded :class:`~repro.profiling.PhaseProfile` — the only
+  profile a run charges (the runners point ``engine.profile`` at it),
+  so per-phase wall time needs no second instrumentation path.
   :meth:`finalize` publishes it into the registry
   (``repro_phase_seconds{phase=...}``), which makes the classic
   ``--profile`` table a pure **view** over observed data
@@ -18,10 +18,11 @@ chaos orchestrator and the artifact store.  It owns:
 Worker protocol: a parallel worker builds its own observer per block,
 evaluates inside a ``block`` span, and ships
 :meth:`RunObserver.worker_payload` home; the parent calls
-:meth:`absorb` (spans graft, metrics merge) in block submission order
-— see :func:`fold_worker_payload`, the single helper every fan-out
-call site uses.  The observer draws no randomness anywhere, so run
-results are bitwise identical with observation on or off.
+:meth:`absorb` (spans graft, metrics merge, phase seconds fold) in
+block submission order — see :func:`fold_worker_payload`, the single
+helper every fan-out call site uses.  The observer draws no
+randomness anywhere, so run results are bitwise identical with
+observation on or off.
 """
 
 from __future__ import annotations
@@ -65,20 +66,16 @@ def block_span_if(obs: "Optional[RunObserver]", index: int, scenarios: int, **at
     return obs.block_span(index, scenarios, **attrs)
 
 
-def fold_worker_payload(payload, profile, obs) -> None:
+def fold_worker_payload(payload, obs) -> None:
     """Fold one worker block payload into the parent, in call order.
 
-    ``payload`` is what :meth:`RunObserver.worker_payload` returned
-    (or None when the pool ran uninstrumented).  The per-block
-    :class:`PhaseProfile` seconds fold into ``profile`` and the span/
-    metric payloads into ``obs`` — calling this in block submission
-    order is what makes serial == parallel for both planes.
+    ``payload`` is what :meth:`RunObserver.worker_payload` returned, or
+    None when the pool ran uninstrumented (``obs`` is None).  Its
+    spans, metrics and per-phase seconds fold into ``obs`` — calling
+    this in block submission order is what makes serial == parallel
+    for every plane.
     """
-    if payload is None:
-        return
-    if profile is not None:
-        profile.add_dict(payload["profile"])
-    if obs is not None:
+    if payload is not None:
         obs.absorb(payload)
 
 
@@ -95,6 +92,8 @@ class RunObserver:
         self.metrics = MetricsRegistry()
         self.profile = PhaseProfile()
         self.events = bool(events)
+        # Counter totals already published by finalize().
+        self._published: tuple = (0, {})
 
     # -- recording seams ---------------------------------------------------
 
@@ -156,39 +155,43 @@ class RunObserver:
         }
 
     def absorb(self, payload: Mapping) -> None:
-        """Graft a worker payload's spans under the current span and
-        merge its metrics (profile seconds fold separately — see
-        :func:`fold_worker_payload`)."""
+        """Graft a worker payload's spans under the current span, merge
+        its metrics and fold its per-phase seconds into the profile."""
         self.trace.graft(payload["spans"])
         self.metrics.merge(payload["metrics"])
+        self.profile.add_dict(payload["profile"])
 
     # -- finalize + persistence --------------------------------------------
 
-    def finalize(self, profile: Optional[PhaseProfile] = None) -> None:
+    def finalize(self) -> None:
         """Publish the phase profile into the metrics plane.
 
-        ``profile`` defaults to the embedded one; the dispatcher passes
-        the caller's when ``run(spec, profile=..., obs=...)`` supplied
-        both, so the table and the metrics describe the same run.
+        Phase seconds are gauges set to the profile's running totals;
+        the scenario and slice counters grow only by what accrued since
+        the previous call, so an observer reused across runs counts
+        each run once.
         """
-        prof = profile if profile is not None else self.profile
+        prof = self.profile
         for phase in PHASES:
             self.metrics.gauge(
                 "repro_phase_seconds",
                 "Wall seconds per campaign phase.",
                 phase=phase,
             ).set(prof.seconds[phase])
-        if prof.scenarios:
+        seen_scenarios, seen_slices = self._published
+        if prof.scenarios > seen_scenarios:
             self.metrics.counter(
                 "repro_scenarios", "Scenarios evaluated by the engines."
-            ).inc(prof.scenarios)
+            ).inc(prof.scenarios - seen_scenarios)
         for path, n in prof.slices.items():
-            if n:
+            new = n - seen_slices.get(path, 0)
+            if new > 0:
                 self.metrics.counter(
                     "repro_masks_slices",
                     "Engine slices by stage-2 path (rank_k or dense).",
                     path=path,
-                ).inc(n)
+                ).inc(new)
+        self._published = (prof.scenarios, dict(prof.slices))
 
     def record(self, spec_payload: Optional[Mapping] = None) -> dict:
         """The persistable run record (spec + spans + metrics)."""

@@ -4,11 +4,13 @@ The campaign pipeline has five cost centres — scenario **sampling**,
 mask/stage **compile** work (slicing, segment-plan builds), the dense
 **gemm** path (matmul + bias + activation), the fault **corrections**
 (mask channels and synapse scatter), and the error **reduction**.  A
-:class:`PhaseProfile` attached to a :class:`~repro.faults.masks.
-MaskCampaignEngine` (``engine.profile``) accumulates wall time into
-those buckets as chunks stream through; the campaign CLI's
-``--profile`` flag prints the resulting table so a future slow path is
-diagnosable without external profilers.
+run is profiled through its :class:`~repro.obs.RunObserver`: the
+observer embeds one :class:`PhaseProfile` (``obs.profile``), the
+runners point the engine's internal charge point
+(``engine.profile``) at it, and wall time accumulates into those
+buckets as chunks stream through.  The CLI's ``--profile`` flag prints
+the resulting table so a future slow path is diagnosable without
+external profilers.
 
 Profiling works across the fan-out paths too: each fork-once worker
 charges a private per-block profile and ships its seconds home with

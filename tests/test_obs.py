@@ -35,6 +35,7 @@ from repro.faults.masks import (
     exhaustive_crash_errors,
     sampled_campaign_errors,
 )
+from repro.faults.types import NoiseFault
 from repro.network import build_mlp
 from repro.obs import (
     RECORD_VERSION,
@@ -538,14 +539,15 @@ class TestParallelProfiling:
     def test_profile_folds_across_workers(self, net, probes):
         injector = FaultInjector(net)
         sampler = FixedDistributionSampler(net, (2, 1))
-        profile = PhaseProfile()
+        obs = RunObserver()
         serial = sampled_campaign_errors(
             injector, probes, sampler, 2300, seed=5
         )
         parallel = sampled_campaign_errors(
             injector, probes, sampler, 2300, seed=5, n_workers=2,
-            profile=profile,
+            obs=obs,
         )
+        profile = obs.profile
         assert np.array_equal(serial, parallel)
         assert profile.scenarios == 2300
         assert profile.seconds["gemm"] > 0
@@ -582,6 +584,23 @@ class TestThreadedObs:
             "repro_tile_queue_wait_seconds"
         ).count == 4
         assert obs.profile.seconds["gemm"] > 0
+
+    @pytest.mark.parametrize("fault", [None, NoiseFault(sigma=0.1)])
+    def test_profile_without_obs_stays_tile_parallel(self, net, probes, fault):
+        from repro.backends.threaded import ThreadedMaskEngine
+
+        injector = FaultInjector(net)
+        sampler = FixedDistributionSampler(net, (2, 1), fault=fault)
+        batch = sampler.sample(64, rng=np.random.default_rng(0))
+        with ThreadedMaskEngine(
+            injector, probes, workers=2, tile=16
+        ) as eng:
+            plain = eng.evaluate(batch, rng=np.random.default_rng(1))
+            eng.profile = PhaseProfile()
+            profiled = eng.evaluate(batch, rng=np.random.default_rng(1))
+        assert np.array_equal(plain, profiled)
+        assert eng.profile.scenarios == 64
+        assert eng.profile.seconds["gemm"] > 0
 
 
 # -- artifact-store cache accounting -------------------------------------

@@ -193,6 +193,15 @@ class TestSlicePaths:
         assert _slices(obs, "rank_k") == 2  # two 1024-scenario blocks
         assert _slices(obs, "dense") == 0
 
+    def test_reused_observer_counts_each_run_once(self):
+        obs = RunObserver()
+        run(_campaign(), obs=obs)
+        run(_campaign(), obs=obs)
+        assert obs.metrics.value("repro_blocks") == 4
+        assert obs.metrics.value("repro_scenarios") == 4096
+        assert _slices(obs, "rank_k") == 4
+        assert _slices(obs, "dense") == 0
+
     @pytest.mark.parametrize(
         "sampler",
         [
@@ -246,15 +255,17 @@ class TestDeterminism:
         injector = FaultInjector(net, capacity=net.output_bound)
         x = np.random.default_rng(2).random((8, net.input_dim))
         sampler = BernoulliSampler(net, 0.02)
-        profile = PhaseProfile()
+        obs = RunObserver()
         serial = sampled_campaign_errors(
-            injector, x, sampler, 2100, seed=4, profile=profile
+            injector, x, sampler, 2100, seed=4, obs=obs
         )
+        profile = obs.profile
         assert profile.slices["rank_k"] > 0
-        folded = PhaseProfile()
+        folded_obs = RunObserver()
         parallel = sampled_campaign_errors(
-            injector, x, sampler, 2100, seed=4, n_workers=2, profile=folded
+            injector, x, sampler, 2100, seed=4, n_workers=2, obs=folded_obs
         )
+        folded = folded_obs.profile
         assert np.array_equal(serial, parallel)
         # Worker profiles fold the slice counts home too.
         assert folded.slices == profile.slices
